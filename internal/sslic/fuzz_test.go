@@ -9,16 +9,22 @@ import (
 // FuzzTileGeometry drives Segment through adversarial tile geometry:
 // dimensions that do not divide into the candidate grid, one-pixel-tall
 // bands, K larger than the pixel supply, degenerate 1×N strips, and
-// worker counts past the row count — on both datapaths. The invariants
-// are crash-freedom and, on success, a dense fully-assigned label map.
+// worker counts past the row count — on both datapaths, with and
+// without preemption, cold and warm (a second run seeded with the first
+// run's centers). The invariants are crash-freedom and, on success, a
+// dense fully-assigned label map with in-bounds centers.
 func FuzzTileGeometry(f *testing.F) {
-	f.Add(uint8(7), uint8(3), uint8(5), int8(2), uint8(0), uint8(0))
-	f.Add(uint8(1), uint8(64), uint8(4), int8(-1), uint8(1), uint8(1))
-	f.Add(uint8(64), uint8(1), uint8(9), int8(8), uint8(1), uint8(2))
-	f.Add(uint8(13), uint8(11), uint8(200), int8(64), uint8(0), uint8(3))
-	f.Add(uint8(2), uint8(2), uint8(1), int8(0), uint8(1), uint8(0))
-	f.Add(uint8(31), uint8(17), uint8(16), int8(3), uint8(0), uint8(2))
-	f.Fuzz(func(t *testing.T, w8, h8, k8 uint8, workers int8, datapath, scheme uint8) {
+	f.Add(uint8(7), uint8(3), uint8(5), int8(2), uint8(0), uint8(0), false, false)
+	f.Add(uint8(1), uint8(64), uint8(4), int8(-1), uint8(1), uint8(1), false, false)
+	f.Add(uint8(64), uint8(1), uint8(9), int8(8), uint8(1), uint8(2), false, false)
+	f.Add(uint8(13), uint8(11), uint8(200), int8(64), uint8(0), uint8(3), false, false)
+	f.Add(uint8(2), uint8(2), uint8(1), int8(0), uint8(1), uint8(0), false, false)
+	f.Add(uint8(31), uint8(17), uint8(16), int8(3), uint8(0), uint8(2), false, false)
+	f.Add(uint8(31), uint8(17), uint8(16), int8(3), uint8(1), uint8(0), true, false)
+	f.Add(uint8(1), uint8(64), uint8(4), int8(-1), uint8(0), uint8(1), false, true)
+	f.Add(uint8(64), uint8(1), uint8(9), int8(8), uint8(1), uint8(2), true, true)
+	f.Add(uint8(13), uint8(11), uint8(200), int8(64), uint8(0), uint8(3), true, true)
+	f.Fuzz(func(t *testing.T, w8, h8, k8 uint8, workers int8, datapath, scheme uint8, preempt, warm bool) {
 		w := 1 + int(w8)%72
 		h := 1 + int(h8)%72
 		k := 1 + int(k8)
@@ -35,6 +41,7 @@ func FuzzTileGeometry(f *testing.F) {
 		p.FullIters = 2
 		p.TileWorkers = int(workers)
 		p.Scheme = Scheme(int(scheme) % 4)
+		p.Preemptive = preempt
 		if datapath%2 == 1 {
 			p.Datapath = Fixed
 		}
@@ -42,6 +49,13 @@ func FuzzTileGeometry(f *testing.F) {
 		if err != nil {
 			// Rejected configurations are fine; torn results are not.
 			return
+		}
+		if warm {
+			p.InitialCenters = r.Centers
+			if r, err = Segment(im, p); err != nil {
+				t.Fatalf("%dx%d k=%d workers=%d dp=%v: warm run rejected its own centers: %v",
+					w, h, k, workers, p.Datapath, err)
+			}
 		}
 		n := r.Labels.NumRegions()
 		if int(r.Labels.MaxLabel())+1 != n {
